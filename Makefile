@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build vet test race race-blocking race-fusion race-obs race-source race-shard race-rrf race-serve race-stream race-mutate bench bench-blocking bench-fusion bench-obs bench-source bench-stream bench-json loadtest chaos chaos-compact check
+.PHONY: all build fmt vet test race race-blocking race-fusion race-obs race-source race-shard race-rrf race-serve race-stream race-mutate bench bench-blocking bench-fusion bench-obs bench-source bench-stream bench-json loadtest chaos chaos-compact check
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Fails when any Go file is not gofmt-formatted, listing the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -118,4 +122,4 @@ chaos-compact:
 	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestStreamStateDecodeRobust|FuzzStreamStateDecode' ./internal/core/...
 
 # Everything the CI gate runs.
-check: build vet race
+check: build fmt vet race

@@ -13,15 +13,25 @@ import (
 type MatchEvidence func(a, b *Profile) float64
 
 // NameSimilarity compares attribute names with token Jaccard softened
-// by Jaro-Winkler (handles "weight" vs "item weight" vs "wt").
+// by Jaro-Winkler (handles "weight" vs "item weight" vs "wt"). Profiles
+// from one Profiler.Build read the score from their shared name table;
+// others compute it.
 func NameSimilarity(a, b *Profile) float64 {
-	j := similarity.Jaccard(a.Attr, b.Attr)
-	jw := similarity.JaroWinkler(a.Attr, b.Attr)
+	if s, ok := a.names.lookup(a, b); ok {
+		return s
+	}
+	return nameSimilarity(a.Attr, b.Attr)
+}
+
+// nameSimilarity is NameSimilarity over two attribute names.
+func nameSimilarity(a, b string) float64 {
+	j := similarity.Jaccard(a, b)
+	jw := similarity.JaroWinkler(a, b)
 	// Monge-Elkan is directional ("weight" ⊂ "item weight" scores high
 	// one way only); symmetrise with max so evidence is order-free.
 	me := math.Max(
-		similarity.MongeElkan(a.Attr, b.Attr, nil),
-		similarity.MongeElkan(b.Attr, a.Attr, nil),
+		similarity.MongeElkan(a, b, nil),
+		similarity.MongeElkan(b, a, nil),
 	)
 	return math.Max(j, math.Max(0.8*jw, 0.9*me))
 }
@@ -101,70 +111,136 @@ func Combined(a, b *Profile) float64 {
 // "linkage before alignment" move the tutorial advocates for
 // identifier-rich domains.
 type LinkageEvidence struct {
-	// agree[pairKey] / total[pairKey] over co-linked record pairs.
-	agree map[[2]SourceAttr]float64
-	total map[[2]SourceAttr]float64
-	// stability[pairKey] ∈ [0,1]: for numeric attribute pairs, how
-	// consistent the value ratio is across co-linked records. A stable
-	// ratio far from 1 is a unit conversion — still a correspondence.
-	stability map[[2]SourceAttr]float64
+	// pairs holds the co-linked statistics of every cross-source
+	// attribute pair seen on a co-linked record pair, keyed by pairKey.
+	pairs map[[2]SourceAttr]pairEvidence
+}
+
+// pairEvidence is one attribute pair's statistics over co-linked
+// record pairs: agree / total is its agreement rate.
+type pairEvidence struct {
+	agree, total float64
+	// stability ∈ [0,1]: for numeric attribute pairs, how consistent
+	// the value ratio is across co-linked records. A stable ratio far
+	// from 1 is a unit conversion — still a correspondence.
+	stability float64
 }
 
 // NewLinkageEvidence scans intra-cluster record pairs and accumulates
-// cross-source attribute agreement statistics.
+// cross-source attribute agreement statistics. Each cluster member's
+// sorted, skip-filtered fields are read once per cluster, and the
+// counters are keyed by interned attribute IDs.
 func NewLinkageEvidence(d *data.Dataset, clusters data.Clustering) *LinkageEvidence {
-	le := &LinkageEvidence{
-		agree:     map[[2]SourceAttr]float64{},
-		total:     map[[2]SourceAttr]float64{},
-		stability: map[[2]SourceAttr]float64{},
-	}
-	// One ratio sample per (attribute pair, entity cluster): multiple
-	// record pairs about the same entity share the same true ratio, so
-	// counting them separately would let a single popular entity fake
-	// cross-entity ratio stability between unrelated attributes.
-	ratios := map[[2]SourceAttr]map[int]float64{}
 	skip := map[string]bool{}
 	for _, a := range DefaultSkipAttrs {
 		skip[a] = true
 	}
+	// Intern every aligned attribute of a co-linked record. IDs follow
+	// pairKey order, so the smaller ID of a pair is its pairKey first.
+	ids := map[SourceAttr]int32{}
+	for _, cl := range clusters {
+		if len(cl) < 2 {
+			continue
+		}
+		for _, id := range cl {
+			if r := d.Record(id); r != nil {
+				for a := range r.Fields {
+					if !skip[a] {
+						ids[SourceAttr{r.SourceID, a}] = 0
+					}
+				}
+			}
+		}
+	}
+	attrs := make([]SourceAttr, 0, len(ids))
+	for sa := range ids {
+		attrs = append(attrs, sa)
+	}
+	sort.Slice(attrs, func(i, j int) bool { return attrLess(attrs[i], attrs[j]) })
+	for i, sa := range attrs {
+		ids[sa] = int32(i)
+	}
+
+	// One ratio sample per (attribute pair, entity cluster): multiple
+	// record pairs about the same entity share the same true ratio, so
+	// counting them separately would let a single popular entity fake
+	// cross-entity ratio stability between unrelated attributes.
+	type field struct {
+		id int32 // interned source attribute
+		v  data.Value
+	}
+	type member struct {
+		source     string
+		start, end int // the member's fields in pool
+	}
+	// acc accumulates one attribute pair, lo < hi in pairKey order.
+	type acc struct {
+		lo, hi       int32
+		agree, total float64
+		// ratios holds one hi/lo value ratio per entity cluster, the
+		// first 64 clusters only; lastCI is the cluster of the last.
+		ratios []float64
+		lastCI int
+	}
+	index := map[uint64]int32{} // lo<<32 | hi → accs index
+	var accs []acc
+	var members []member
+	var pool []field
 	for ci, cl := range clusters {
-		for i := 0; i < len(cl); i++ {
-			for j := i + 1; j < len(cl); j++ {
-				ra, rb := d.Record(cl[i]), d.Record(cl[j])
-				if ra == nil || rb == nil || ra.SourceID == rb.SourceID {
+		if len(cl) < 2 {
+			continue
+		}
+		members, pool = members[:0], pool[:0]
+		for _, id := range cl {
+			r := d.Record(id)
+			if r == nil {
+				continue
+			}
+			start := len(pool)
+			for _, a := range r.Attrs() {
+				if !skip[a] {
+					pool = append(pool, field{ids[SourceAttr{r.SourceID, a}], r.Fields[a]})
+				}
+			}
+			members = append(members, member{r.SourceID, start, len(pool)})
+		}
+		for i := 0; i < len(members); i++ {
+			for j := i + 1; j < len(members); j++ {
+				ma, mb := members[i], members[j]
+				if ma.source == mb.source {
 					continue
 				}
-				for _, aa := range ra.Attrs() {
-					if skip[aa] {
-						continue
-					}
-					va := ra.Fields[aa]
-					for _, ab := range rb.Attrs() {
-						if skip[ab] {
-							continue
-						}
-						vb := rb.Fields[ab]
+				for _, fa := range pool[ma.start:ma.end] {
+					va := fa.v
+					for _, fb := range pool[mb.start:mb.end] {
+						vb := fb.v
 						if va.Kind != vb.Kind {
 							continue
 						}
-						k := pairKey(
-							SourceAttr{ra.SourceID, aa},
-							SourceAttr{rb.SourceID, ab},
-						)
-						le.total[k]++
+						lo, hi := fa.id, fb.id
+						if hi < lo {
+							lo, hi = hi, lo
+						}
+						key := uint64(lo)<<32 | uint64(hi)
+						ai, ok := index[key]
+						if !ok {
+							ai = int32(len(accs))
+							index[key] = ai
+							accs = append(accs, acc{lo: lo, hi: hi, lastCI: -1})
+						}
+						a := &accs[ai]
+						a.total++
 						if valuesAgree(va, vb) {
-							le.agree[k]++
+							a.agree++
 						}
 						if va.Kind == data.KindNumber && va.Num != 0 && vb.Num != 0 {
 							r := vb.Num / va.Num
-							if k[0] != (SourceAttr{ra.SourceID, aa}) {
-								r = 1 / r // keep ratio oriented k[0]→k[1]
+							if lo != fa.id {
+								r = 1 / r // keep ratio oriented lo→hi
 							}
-							if ratios[k] == nil {
-								ratios[k] = map[int]float64{}
-							}
-							if _, seen := ratios[k][ci]; !seen && len(ratios[k]) < 64 {
-								ratios[k][ci] = r
+							if a.lastCI != ci && len(a.ratios) < 64 {
+								a.ratios = append(a.ratios, r)
+								a.lastCI = ci
 							}
 						}
 					}
@@ -172,33 +248,39 @@ func NewLinkageEvidence(d *data.Dataset, clusters data.Clustering) *LinkageEvide
 			}
 		}
 	}
-	for k, byCluster := range ratios {
-		if len(byCluster) < 3 {
-			continue
+
+	le := &LinkageEvidence{pairs: make(map[[2]SourceAttr]pairEvidence, len(accs))}
+	for _, a := range accs {
+		le.pairs[[2]SourceAttr{attrs[a.lo], attrs[a.hi]}] = pairEvidence{
+			agree: a.agree, total: a.total, stability: ratioStability(a.ratios),
 		}
-		rs := make([]float64, 0, len(byCluster))
-		for _, r := range byCluster {
-			rs = append(rs, r)
-		}
-		sort.Float64s(rs)
-		med := rs[len(rs)/2]
-		if med <= 0 {
-			continue
-		}
-		devs := make([]float64, len(rs))
-		for i, r := range rs {
-			devs[i] = math.Abs(r-med) / med
-		}
-		sort.Float64s(devs)
-		mad := devs[len(devs)/2]
-		// Fully stable (mad 0) → 1; dissolving to 0 at 20% spread.
-		s := 1 - mad/0.2
-		if s < 0 {
-			s = 0
-		}
-		le.stability[k] = s
 	}
 	return le
+}
+
+// ratioStability scores how consistent a pair's per-cluster value
+// ratios are: 1 when fully stable (median absolute deviation 0),
+// dissolving to 0 at 20% spread; 0 below three samples. It sorts rs.
+func ratioStability(rs []float64) float64 {
+	if len(rs) < 3 {
+		return 0
+	}
+	sort.Float64s(rs)
+	med := rs[len(rs)/2]
+	if med <= 0 {
+		return 0
+	}
+	devs := make([]float64, len(rs))
+	for i, r := range rs {
+		devs[i] = math.Abs(r-med) / med
+	}
+	sort.Float64s(devs)
+	mad := devs[len(devs)/2]
+	s := 1 - mad/0.2
+	if s < 0 {
+		s = 0
+	}
+	return s
 }
 
 // valuesAgree is a tolerant equality: exact for non-numbers, 2% relative
@@ -212,31 +294,37 @@ func valuesAgree(a, b data.Value) bool {
 		return math.Abs(a.Num-b.Num)/denom <= 0.02
 	}
 	if a.Kind == data.KindString && b.Kind == data.KindString {
-		return similarity.JaroWinkler(a.Str, b.Str) >= 0.93
+		// Jaro-Winkler of a string with itself is exactly 1.
+		return a.Str == b.Str || similarity.JaroWinkler(a.Str, b.Str) >= 0.93
 	}
 	return a.Equal(b)
 }
 
+// pairKey orders an attribute pair by source, then attribute.
 func pairKey(a, b SourceAttr) [2]SourceAttr {
-	if b.Source < a.Source || (b.Source == a.Source && b.Attr < a.Attr) {
+	if attrLess(b, a) {
 		a, b = b, a
 	}
 	return [2]SourceAttr{a, b}
 }
 
+// attrLess orders source attributes by source, then attribute.
+func attrLess(a, b SourceAttr) bool {
+	return a.Source < b.Source || (a.Source == b.Source && a.Attr < b.Attr)
+}
+
 // Score implements MatchEvidence semantics over profiles: the observed
 // agreement rate on co-linked records, 0 when below the support floor.
 func (le *LinkageEvidence) Score(a, b *Profile) float64 {
-	k := pairKey(a.SourceAttr, b.SourceAttr)
-	tot := le.total[k]
-	if tot < 3 { // insufficient support
+	pe := le.pairs[pairKey(a.SourceAttr, b.SourceAttr)]
+	if pe.total < 3 { // insufficient support
 		return 0
 	}
-	s := le.agree[k] / tot
+	s := pe.agree / pe.total
 	// Ratio-stable numeric pairs correspond even when raw values never
 	// agree (unit conversions).
-	if st := le.stability[k]; st > s {
-		s = st
+	if pe.stability > s {
+		s = pe.stability
 	}
 	return s
 }
@@ -253,14 +341,13 @@ func (le *LinkageEvidence) Blend(a, b *Profile) float64 {
 		return 0
 	}
 	c := Combined(a, b)
-	k := pairKey(a.SourceAttr, b.SourceAttr)
-	tot := le.total[k]
-	if tot < 5 {
+	pe := le.pairs[pairKey(a.SourceAttr, b.SourceAttr)]
+	if pe.total < 5 {
 		return c // insufficient co-linked support: fall back
 	}
-	l := le.agree[k] / tot
-	if st := le.stability[k]; st > l {
-		l = st
+	l := pe.agree / pe.total
+	if pe.stability > l {
+		l = pe.stability
 	}
 	return le.blendWith(l, c)
 }
@@ -272,12 +359,11 @@ func (le *LinkageEvidence) BlendAgreementOnly(a, b *Profile) float64 {
 		return 0
 	}
 	c := Combined(a, b)
-	k := pairKey(a.SourceAttr, b.SourceAttr)
-	tot := le.total[k]
-	if tot < 5 {
+	pe := le.pairs[pairKey(a.SourceAttr, b.SourceAttr)]
+	if pe.total < 5 {
 		return c
 	}
-	return le.blendWith(le.agree[k]/tot, c)
+	return le.blendWith(pe.agree/pe.total, c)
 }
 
 // blendWith applies the boost/veto policy to a linkage-evidence level l

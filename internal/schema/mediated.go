@@ -78,16 +78,28 @@ func (al Aligner) Align(profiles []*Profile) (*MediatedSchema, error) {
 		threshold = 0.5
 	}
 
+	sim, err := evidenceMatrix(ctx, profiles, evidence)
+	if err != nil {
+		return nil, err
+	}
+	groups, err := agglomerate(ctx, profiles, sim, threshold)
+	if err != nil {
+		return nil, err
+	}
+	return newMediatedSchema(profiles, sim, groups), nil
+}
+
+// evidenceMatrix scores every profile pair once into a symmetric matrix.
+func evidenceMatrix(ctx context.Context, profiles []*Profile, evidence MatchEvidence) ([][]float64, error) {
 	n := len(profiles)
-	// Pairwise evidence matrix (symmetric).
 	sim := make([][]float64, n)
 	for i := range sim {
 		sim[i] = make([]float64, n)
 	}
 	for i := 0; i < n; i++ {
-		// The evidence matrix and the agglomeration below dominate
-		// alignment wall time, so the row and the round are the
-		// cancellation granularity for this stage.
+		// The evidence matrix and the agglomeration dominate alignment
+		// wall time, so the row and the round are the cancellation
+		// granularity for this stage.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -96,15 +108,30 @@ func (al Aligner) Align(profiles []*Profile) (*MediatedSchema, error) {
 			sim[i][j], sim[j][i] = s, s
 		}
 	}
+	return sim, nil
+}
 
-	// Greedy average-linkage agglomeration.
+// agglomerate runs greedy average-linkage clustering over the evidence
+// matrix: each round merges the active cluster pair of highest average
+// linkage at or above the threshold, the last such pair in row-major
+// order on ties, and a cluster pair with two members of one source
+// never merges. It returns the final clusters in index order, each
+// listing its members in merge order.
+func agglomerate(ctx context.Context, profiles []*Profile, sim [][]float64, threshold float64) ([][]int, error) {
+	n := len(profiles)
 	clusters := make([][]int, n)
 	for i := range clusters {
 		clusters[i] = []int{i}
 	}
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
+	src := make([]int, n) // interned sources
+	srcIDs := map[string]int{}
+	for i, p := range profiles {
+		id, ok := srcIDs[p.Source]
+		if !ok {
+			id = len(srcIDs)
+			srcIDs[p.Source] = id
+		}
+		src[i] = id
 	}
 	avgLink := func(a, b []int) float64 {
 		var sum float64
@@ -112,7 +139,7 @@ func (al Aligner) Align(profiles []*Profile) (*MediatedSchema, error) {
 		for _, i := range a {
 			for _, j := range b {
 				// Attributes of the same source must not merge.
-				if profiles[i].Source == profiles[j].Source {
+				if src[i] == src[j] {
 					return -1
 				}
 				sum += sim[i][j]
@@ -124,20 +151,31 @@ func (al Aligner) Align(profiles []*Profile) (*MediatedSchema, error) {
 		}
 		return sum / float64(cnt)
 	}
+	// link caches avgLink(clusters[i], clusters[j]) for every active
+	// pair i < j, as one flat upper triangle. A merge changes only the
+	// merged cluster, so only its scores are recomputed, by the same
+	// avgLink over the same member order: every cached score equals a
+	// fresh one bit for bit, and so do the chosen merges.
+	row := func(i int) int { return i * (2*n - i - 1) / 2 } // offset of (i, i+1)
+	link := make([]float64, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			link[row(i)+j-i-1] = avgLink(clusters[i], clusters[j])
+		}
+	}
+	active := make([]int, n) // active cluster indices, ascending
+	for i := range active {
+		active[i] = i
+	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		bestI, bestJ, bestS := -1, -1, threshold
-		for i := 0; i < n; i++ {
-			if !active[i] {
-				continue
-			}
-			for j := i + 1; j < n; j++ {
-				if !active[j] {
-					continue
-				}
-				if s := avgLink(clusters[i], clusters[j]); s >= bestS {
+		for ai, i := range active {
+			r := row(i) - i - 1
+			for _, j := range active[ai+1:] {
+				if s := link[r+j]; s >= bestS {
 					bestI, bestJ, bestS = i, j, s
 				}
 			}
@@ -146,15 +184,34 @@ func (al Aligner) Align(profiles []*Profile) (*MediatedSchema, error) {
 			break
 		}
 		clusters[bestI] = append(clusters[bestI], clusters[bestJ]...)
-		active[bestJ] = false
-	}
-
-	ms := &MediatedSchema{Of: map[SourceAttr]int{}}
-	for ci := 0; ci < n; ci++ {
-		if !active[ci] {
-			continue
+		for k, c := range active {
+			if c == bestJ {
+				active = append(active[:k], active[k+1:]...)
+				break
+			}
 		}
-		members := clusters[ci]
+		for _, k := range active {
+			switch {
+			case k < bestI:
+				link[row(k)+bestI-k-1] = avgLink(clusters[k], clusters[bestI])
+			case k > bestI:
+				link[row(bestI)+k-bestI-1] = avgLink(clusters[bestI], clusters[k])
+			}
+		}
+	}
+	groups := make([][]int, len(active))
+	for gi, ci := range active {
+		groups[gi] = clusters[ci]
+	}
+	return groups, nil
+}
+
+// newMediatedSchema turns attribute clusters into the mediated schema:
+// membership probabilities from the evidence matrix, cluster names and
+// a deterministic attribute order.
+func newMediatedSchema(profiles []*Profile, sim [][]float64, groups [][]int) *MediatedSchema {
+	ms := &MediatedSchema{Of: map[SourceAttr]int{}}
+	for _, members := range groups {
 		ma := &MediatedAttr{Members: map[SourceAttr]float64{}}
 		// Membership probability: each member's mean evidence toward the
 		// rest of the cluster (1 for singletons).
@@ -192,7 +249,7 @@ func (al Aligner) Align(profiles []*Profile) (*MediatedSchema, error) {
 			ms.Of[sa] = idx
 		}
 	}
-	return ms, nil
+	return ms
 }
 
 func firstMember(ma *MediatedAttr) SourceAttr {

@@ -35,45 +35,81 @@ func DiscoverTransformsCtx(ctx context.Context, d *data.Dataset, clusters data.C
 	}
 	// One ratio per (pair, entity cluster): see NewLinkageEvidence for
 	// why per-record-pair samples would overweight popular entities.
-	ratios := map[[2]SourceAttr]map[int]float64{}
+	// Each cluster member's aligned numeric fields are read once per
+	// cluster, and the pairs are keyed by interned attribute IDs.
+	type field struct {
+		id, med int32 // interned source attribute, mediated attribute
+		num     float64
+	}
+	type member struct {
+		source     string
+		start, end int // the member's fields in pool
+	}
+	type acc struct {
+		from, to int32
+		ratios   []float64
+		lastCI   int // cluster of the last sample
+	}
+	ids := map[SourceAttr]int32{}
+	var attrs []SourceAttr
+	index := map[uint64]int32{} // from<<32 | to → accs index
+	var accs []acc
+	var members []member
+	var pool []field
 	for ci, cl := range clusters {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for i := 0; i < len(cl); i++ {
-			for j := 0; j < len(cl); j++ {
-				if i == j {
+		if len(cl) < 2 {
+			continue
+		}
+		members, pool = members[:0], pool[:0]
+		for _, id := range cl {
+			r := d.Record(id)
+			if r == nil {
+				continue
+			}
+			start := len(pool)
+			for _, a := range r.Attrs() {
+				v := r.Fields[a]
+				if v.Kind != data.KindNumber || v.Num == 0 {
 					continue
 				}
-				ra, rb := d.Record(cl[i]), d.Record(cl[j])
-				if ra == nil || rb == nil || ra.SourceID == rb.SourceID {
+				sa := SourceAttr{r.SourceID, a}
+				med, ok := ms.Of[sa]
+				if !ok {
 					continue
 				}
-				for _, aa := range ra.Attrs() {
-					va := ra.Fields[aa]
-					if va.Kind != data.KindNumber || va.Num == 0 {
-						continue
-					}
-					saA := SourceAttr{ra.SourceID, aa}
-					idxA, okA := ms.Of[saA]
-					if !okA {
-						continue
-					}
-					for _, ab := range rb.Attrs() {
-						vb := rb.Fields[ab]
-						if vb.Kind != data.KindNumber || vb.Num == 0 {
+				id, ok := ids[sa]
+				if !ok {
+					id = int32(len(attrs))
+					ids[sa] = id
+					attrs = append(attrs, sa)
+				}
+				pool = append(pool, field{id, int32(med), v.Num})
+			}
+			members = append(members, member{r.SourceID, start, len(pool)})
+		}
+		for i, ma := range members {
+			for j, mb := range members {
+				if i == j || ma.source == mb.source {
+					continue
+				}
+				for _, fa := range pool[ma.start:ma.end] {
+					for _, fb := range pool[mb.start:mb.end] {
+						if fb.med != fa.med {
 							continue
 						}
-						saB := SourceAttr{rb.SourceID, ab}
-						if idxB, okB := ms.Of[saB]; !okB || idxB != idxA {
-							continue
+						key := uint64(fa.id)<<32 | uint64(fb.id)
+						ai, ok := index[key]
+						if !ok {
+							ai = int32(len(accs))
+							index[key] = ai
+							accs = append(accs, acc{from: fa.id, to: fb.id, lastCI: -1})
 						}
-						k := [2]SourceAttr{saA, saB}
-						if ratios[k] == nil {
-							ratios[k] = map[int]float64{}
-						}
-						if _, seen := ratios[k][ci]; !seen {
-							ratios[k][ci] = vb.Num / va.Num
+						if a := &accs[ai]; a.lastCI != ci {
+							a.ratios = append(a.ratios, fb.num/fa.num)
+							a.lastCI = ci
 						}
 					}
 				}
@@ -81,13 +117,10 @@ func DiscoverTransformsCtx(ctx context.Context, d *data.Dataset, clusters data.C
 		}
 	}
 	var out []Transform
-	for k, byCluster := range ratios {
-		if len(byCluster) < minSupport {
+	for _, a := range accs {
+		rs := a.ratios
+		if len(rs) < minSupport {
 			continue
-		}
-		rs := make([]float64, 0, len(byCluster))
-		for _, r := range byCluster {
-			rs = append(rs, r)
 		}
 		sort.Float64s(rs)
 		med := rs[len(rs)/2]
@@ -97,7 +130,7 @@ func DiscoverTransformsCtx(ctx context.Context, d *data.Dataset, clusters data.C
 		if med <= 0 || mad/math.Abs(med) > 0.1 {
 			continue
 		}
-		out = append(out, Transform{From: k[0], To: k[1], Scale: med, Support: len(rs)})
+		out = append(out, Transform{From: attrs[a.from], To: attrs[a.to], Scale: med, Support: len(rs)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].From != out[j].From {
@@ -120,16 +153,17 @@ func medianAbsDev(rs []float64, med float64) float64 {
 // Normalizer rewrites records into the mediated schema: local attribute
 // names become mediated names, and numeric values are rescaled into the
 // cluster's canonical units (the units of the cluster's reference
-// attribute — the member with the largest support).
+// attribute — its lexicographically first member).
 type Normalizer struct {
 	ms    *MediatedSchema
 	scale map[SourceAttr]float64 // multiplicative factor into canonical units
 }
 
-// NewNormalizer picks, per mediated attribute, the reference member (the
-// one with the most co-linked ratio support toward others, falling back
-// to the lexicographically first member) and inverts the discovered
-// transforms to rescale every member into the reference's units.
+// NewNormalizer picks, per mediated attribute, the reference member
+// (always the lexicographically first member by "source/attr") and
+// uses the discovered transforms toward it to rescale every member
+// into the reference's units. Members without such a transform keep
+// their values.
 func NewNormalizer(ms *MediatedSchema, transforms []Transform) *Normalizer {
 	n := &Normalizer{ms: ms, scale: map[SourceAttr]float64{}}
 	// Reference member per cluster: lexicographically first (stable and
